@@ -7,8 +7,10 @@
 package producer
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"kafkarel/internal/des"
@@ -846,6 +848,9 @@ func (p *Producer) onBroken(error) {
 		pending = append(pending, rq)
 	}
 	clear(p.inFlight)
+	// Re-queue in send order: map iteration order is random, and the
+	// retry order decides the order of the next appends.
+	slices.SortFunc(pending, func(a, b *request) int { return cmp.Compare(a.corr, b.corr) })
 	for _, rq := range pending {
 		b := rq.batch
 		p.putRequest(rq)
