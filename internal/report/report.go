@@ -325,9 +325,9 @@ func (r *Report) Render(w io.Writer) error {
 		span("commit", res.Metrics.SpanCommit)
 		span("rebalance", res.Metrics.Rebalance)
 		tw.Flush()
-		if res.GroupLag != nil {
+		if len(res.GroupRuns) > 0 {
 			fmt.Fprintf(w, "\nconsumer lag (end of run): %v   commit acks: %d   redelivered: %d\n",
-				res.GroupLag, res.Metrics.ConsumerCommitAcks, res.Metrics.ConsumerRedelivered)
+				res.GroupRuns[0].Lag, res.Metrics.ConsumerCommitAcks, res.Metrics.ConsumerRedelivered)
 		}
 		fmt.Fprintln(w)
 	}
