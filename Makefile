@@ -109,8 +109,17 @@ chaos-smoke:
 
 ## shim-gate: issue 7 retired the consumer group's local committed-
 ## offsets map in favour of the coordinator's durable offsets log; this
-## grep keeps the shim from quietly growing back.
+## grep keeps the shim from quietly growing back. The same goes for the
+## single-group mirrors of a multi-group run: testbed.Result's
+## Group{Evidence,ConsumedKeys,Committed,Lag} and Coordinator fields and
+## chaos.Targets.Group, all replaced by the per-group slices.
 shim-gate:
 	@if grep -q 'committed map\[int32\]int64' internal/consumer/group.go; then \
 		echo "internal/consumer/group.go regrew a local committed-offsets map;"; \
 		echo "commits must flow through the coordinator's offsets log"; exit 1; fi
+	@if $(GO) doc ./internal/testbed Result | grep -qE '^\s+(Group(Evidence|ConsumedKeys|Committed|Lag)|Coordinator)\s'; then \
+		echo "testbed.Result regrew a single-group mirror field;"; \
+		echo "group results live in Result.GroupRuns"; exit 1; fi
+	@if $(GO) doc ./internal/chaos Targets | grep -qE '^\s+Group\s'; then \
+		echo "chaos.Targets regrew the single Group target;"; \
+		echo "consumer faults resolve through Targets.Groups"; exit 1; fi
