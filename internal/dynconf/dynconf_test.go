@@ -2,6 +2,8 @@ package dynconf
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -343,6 +345,42 @@ func TestTableIIEndToEnd(t *testing.T) {
 	}
 	if o.Reconfigurations == 0 {
 		t.Error("no reconfigurations happened")
+	}
+}
+
+// TestTableIIDeterministicAcrossWorkers pins Options.Workers' promise:
+// the static-default and dynamic evaluation runs share one trace, and
+// running them side by side must neither race nor change the outcome.
+func TestTableIIDeterministicAcrossWorkers(t *testing.T) {
+	spec := netem.TraceSpec{
+		Duration:     time.Minute,
+		Interval:     10 * time.Second,
+		DelayScaleMs: 20,
+		DelayShape:   1.5,
+		GEGoodToBad:  0.3,
+		GEBadToGood:  0.3,
+		GoodLoss:     0.01,
+		BadLoss:      0.17,
+	}
+	pred := trainedPredictor(t)
+	var ref []StreamOutcome
+	for _, workers := range []int{1, 2} {
+		out, err := TableIIContext(context.Background(), []workload.Profile{workload.WebLogs}, Options{
+			Messages:  1500,
+			Seed:      5,
+			TraceSpec: spec,
+			Interval:  20 * time.Second,
+			Predictor: pred,
+			Workers:   workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = out
+		} else if !reflect.DeepEqual(ref, out) {
+			t.Errorf("workers=2 outcome %+v differs from workers=1 %+v", out, ref)
+		}
 	}
 }
 

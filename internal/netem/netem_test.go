@@ -342,7 +342,7 @@ func TestTraceApplySwitchesConditions(t *testing.T) {
 		{Start: 0, Delay: stats.Constant{Value: 10}, Loss: stats.NoLoss{}},
 		{Start: time.Second, Delay: stats.Constant{Value: 100}, Loss: stats.NoLoss{}},
 	}
-	if err := tr.Apply(sim, p); err != nil {
+	if err := tr.Apply(sim, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	var times []time.Duration
@@ -368,11 +368,11 @@ func TestTraceApplyRejectsUnsorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := Trace{{Start: time.Second}, {Start: 0}}
-	if err := tr.Apply(sim, p); err == nil {
+	if err := tr.Apply(sim, p, nil); err == nil {
 		t.Error("unsorted trace accepted")
 	}
 	var empty Trace
-	if err := empty.Apply(nil, p); err == nil {
+	if err := empty.Apply(nil, p, nil); err == nil {
 		t.Error("nil simulator accepted")
 	}
 }

@@ -19,12 +19,17 @@ type Segment struct {
 }
 
 // Trace is a piecewise-constant network condition schedule, ordered by
-// Start time.
+// Start time. A Trace holds no random state of its own: Apply draws the
+// losses of Bernoulli segments from the generator it is given, so one
+// Trace can drive any number of runs, concurrently too.
 type Trace []Segment
 
 // Apply schedules every segment switch on the simulator. Segments whose
 // Start is in the simulator's past are applied immediately in order.
-func (tr Trace) Apply(sim *des.Simulator, p *Path) error {
+// A Bernoulli segment supplies only its rate: its drops come from rng,
+// which the run derives from its own seed. rng may be nil when no
+// segment is a lossy Bernoulli.
+func (tr Trace) Apply(sim *des.Simulator, p *Path, rng *rand.Rand) error {
 	if sim == nil || p == nil {
 		return fmt.Errorf("netem: Trace.Apply with nil simulator or path")
 	}
@@ -32,10 +37,17 @@ func (tr Trace) Apply(sim *des.Simulator, p *Path) error {
 		return fmt.Errorf("netem: trace segments not sorted by start time")
 	}
 	for _, seg := range tr {
-		seg := seg
+		loss := seg.Loss
+		if b, ok := loss.(*stats.Bernoulli); ok {
+			bound, err := stats.NewBernoulli(b.P, rng)
+			if err != nil {
+				return fmt.Errorf("netem: trace segment at %v: %w", seg.Start, err)
+			}
+			loss = bound
+		}
 		apply := func() {
 			p.SetDelay(seg.Delay)
-			p.SetLoss(seg.Loss)
+			p.SetLoss(loss)
 		}
 		if seg.Start <= sim.Now() {
 			apply()
@@ -101,8 +113,9 @@ func DefaultTraceSpec() TraceSpec {
 
 // Generate builds a concrete Trace from the spec using the given seed.
 // Each segment gets a constant delay (the Pareto draw, capped at 500 ms
-// like NetEm practice) and a Bernoulli loss model whose rate comes from
-// the Gilbert-Elliot state with ±30 % multiplicative jitter.
+// like NetEm practice) and a Bernoulli loss rate from the Gilbert-Elliot
+// state with ±30 % multiplicative jitter. The segments carry no
+// generator: Apply binds the run's own.
 func (spec TraceSpec) Generate(seed uint64) (Trace, error) {
 	if spec.Duration <= 0 || spec.Interval <= 0 {
 		return nil, fmt.Errorf("netem: trace spec needs positive duration and interval")
@@ -136,10 +149,6 @@ func (spec TraceSpec) Generate(seed uint64) (Trace, error) {
 		if rate > 1 {
 			rate = 1
 		}
-		loss, err := stats.NewBernoulli(rate, rng)
-		if err != nil {
-			return nil, fmt.Errorf("netem: trace loss model: %w", err)
-		}
 		delayMs := pareto.Sample()
 		if delayMs > 500 {
 			delayMs = 500
@@ -147,7 +156,7 @@ func (spec TraceSpec) Generate(seed uint64) (Trace, error) {
 		tr = append(tr, Segment{
 			Start: time.Duration(i) * spec.Interval,
 			Delay: stats.Constant{Value: delayMs},
-			Loss:  loss,
+			Loss:  &stats.Bernoulli{P: rate},
 		})
 	}
 	return tr, nil
